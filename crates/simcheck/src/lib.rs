@@ -152,6 +152,26 @@ fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Vec<Observation<Obs>
     (RunOutcome { report, violations }, obs)
 }
 
+/// FNV-1a over the `Debug` rendering of an observation trace: a stable,
+/// dependency-free digest that two runs (or two revisions of the code) can
+/// compare, and that a failing assertion can log. Streamed through the
+/// formatter, so no rendering of the whole trace is ever held in memory.
+pub fn trace_hash(obs: &[Observation<Obs>]) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let _ = std::fmt::write(&mut h, format_args!("{obs:?}"));
+    h.0
+}
+
 /// Samples the scenario for `seed`, runs it, and on failure shrinks it to
 /// a minimal reproducer. `None` means every oracle held.
 pub fn check_seed(seed: u64) -> Option<Failure> {

@@ -6,18 +6,7 @@
 //! deterministic crate is precisely the kind of bug that makes this test
 //! flake across processes while passing within one).
 
-use simcheck::{run_scenario_traced, Scenario};
-
-/// FNV-1a over the Debug rendering: a stable, dependency-free digest that
-/// can be compared across runs and logged on failure.
-fn stable_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use simcheck::{run_scenario_traced, trace_hash, Scenario};
 
 #[test]
 fn same_seed_same_trace() {
@@ -35,8 +24,8 @@ fn same_seed_same_trace() {
             assert_eq!(a, b, "seed {seed}: trace diverged at observation {i}");
         }
 
-        let ha = stable_hash(&format!("{obs_a:?}"));
-        let hb = stable_hash(&format!("{obs_b:?}"));
+        let ha = trace_hash(&obs_a);
+        let hb = trace_hash(&obs_b);
         assert_eq!(ha, hb, "seed {seed}: trace hashes diverged");
 
         assert_eq!(
@@ -89,8 +78,8 @@ fn multi_domain_handshake_trace_is_deterministic() {
         "scenario must actually exercise the handshake"
     );
     assert_eq!(obs_a.len(), obs_b.len(), "observation counts diverged");
-    let ha = stable_hash(&format!("{obs_a:?}"));
-    let hb = stable_hash(&format!("{obs_b:?}"));
+    let ha = trace_hash(&obs_a);
+    let hb = trace_hash(&obs_b);
     assert_eq!(ha, hb, "handshake trace hashes diverged");
     assert_eq!(
         format!("{:?}", out_a.violations),
