@@ -18,11 +18,9 @@ impl ControllerActor {
         if self.retry_armed || !self.shared.cfg.reliability.enabled {
             return;
         }
-        let due = match (self.pending.next_due(), self.handshake_next_due()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let Some(due) = due else {
+        let reforwards = self.reforwards.next_due().filter(|_| self.is_lowest());
+        let next = [self.pending.next_due(), self.seg_reports.next_due(), reforwards];
+        let Some(due) = next.into_iter().flatten().min() else {
             return;
         };
         ctx.set_timer(due.since(ctx.now()), RETRY);
