@@ -534,7 +534,7 @@ mod tests {
 
     #[test]
     fn prepared_g2_reuse_and_identity_terms() {
-        let (g1, g2) = gens();
+        let (g1, _) = gens();
         let prep_g2 = g2_generator_prepared();
         let s = Fr::from_u64(424242);
         let p1 = g1_generator().mul_fr(s).to_affine();
